@@ -224,7 +224,10 @@ fn round(exe: &std::path::Path, dir: &str, round: u64) -> Result<(), String> {
     // from the verified chunks. The grove root must not move.
     let core = ServerCore::from_verified_state(report.tree, report.ctr, &cfg)
         .map_err(|e| format!("round {round}: verified state rejected: {e}"))?;
-    let replica = NetServer::spawn(Box::new(HonestServer::from_core(core)), false);
+    let replica = NetServer::spawn_with(
+        Box::new(HonestServer::from_core(core)),
+        NetServerOptions::default(),
+    );
     grove
         .bootstrap_restart(KILLED, &replica, &shard_root, &cfg)
         .map_err(|e| format!("round {round}: shard rejoin failed: {e}"))?;

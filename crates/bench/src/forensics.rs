@@ -24,7 +24,7 @@ use tcvs_core::{
     audit_bytes, EvidenceBundle, HonestServer, Op, ProtocolConfig, ServerApi, SyncShare,
 };
 use tcvs_merkle::{u64_key, MerkleTree};
-use tcvs_net::{NetClient2, NetServer, NetServerOptions, NetStats, ShardedClient2, ShardedServer};
+use tcvs_net::{NetClient2, NetServer, NetServerOptions, ShardedClient2, ShardedServer};
 
 use crate::perf::PerfResult;
 
@@ -79,11 +79,7 @@ impl ForkScenario {
                 }
             })
             .collect();
-        let grove = ShardedServer::spawn_with_servers(
-            inners,
-            NetServerOptions::default(),
-            NetStats::disabled(),
-        );
+        let grove = ShardedServer::spawn_with_servers(inners, NetServerOptions::default());
         let r0 = vec![MerkleTree::with_order(cfg.order).root_digest(); n];
         let mut alice = ShardedClient2::new(0, &r0, cfg, &grove);
         let mut bob = ShardedClient2::new(1, &r0, cfg, &grove);
@@ -136,9 +132,9 @@ impl ForkScenario {
 /// returns the sealed per-op bundle (transition log of `detect_at` ops).
 fn per_op_bundle(detect_at: u64) -> EvidenceBundle {
     let cfg = config();
-    let server = NetServer::spawn(
+    let server = NetServer::spawn_with(
         Box::new(LieServer::new(&cfg, Trigger::AtCtr(detect_at))),
-        false,
+        NetServerOptions::default(),
     );
     let root0 = MerkleTree::with_order(cfg.order).root_digest();
     let mut c = NetClient2::new(0, &root0, cfg, &server);
@@ -162,7 +158,10 @@ fn per_op_bundle(detect_at: u64) -> EvidenceBundle {
 fn honest_throughput(n_ops: u64) -> (f64, f64) {
     let cfg = config();
     let run = |armed: bool| -> f64 {
-        let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+        let server = NetServer::spawn_with(
+            Box::new(HonestServer::new(&cfg)),
+            NetServerOptions::default(),
+        );
         let root0 = MerkleTree::with_order(cfg.order).root_digest();
         let mut c = NetClient2::new(0, &root0, cfg, &server);
         if armed {

@@ -515,11 +515,7 @@ fn fork_one_of_four() -> (u64, u64) {
             }
         })
         .collect();
-    let grove = ShardedServer::spawn_with_servers(
-        inners,
-        NetServerOptions::default(),
-        NetStats::disabled(),
-    );
+    let grove = ShardedServer::spawn_with_servers(inners, NetServerOptions::default());
     let router = grove.router();
     let root0 = MerkleTree::with_order(cfg.order).root_digest();
     let mut c = ShardedClient2::new(0, &[root0; 4], cfg, &grove);

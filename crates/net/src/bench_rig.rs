@@ -158,15 +158,15 @@ pub fn run_throughput_tuned(
 ) -> ThroughputReport {
     let root0 = MerkleTree::with_order(config.order).root_digest();
     let blocking = protocol == ProtocolKind::One && tuning.pipeline_depth == 0;
-    let server = NetServer::spawn_observed(
+    let server = NetServer::spawn_with(
         Box::new(HonestServer::new(config)),
         NetServerOptions {
             blocking_signatures: blocking,
             pipeline_depth: tuning.pipeline_depth,
             publish_every_ops: tuning.publish_every_ops,
+            stats: stats.clone(),
             ..NetServerOptions::default()
         },
-        stats.clone(),
     );
     let sink: LatencySink = Arc::new(Mutex::new(Vec::with_capacity(
         (n_clients as u64 * ops_per_client) as usize,
@@ -324,9 +324,9 @@ pub fn run_sharded_throughput(
         inners,
         NetServerOptions {
             publish_every_ops: tuning.publish_every_ops,
+            stats: stats.clone(),
             ..NetServerOptions::default()
         },
-        stats.clone(),
     );
     let sink: LatencySink = Arc::new(Mutex::new(Vec::with_capacity(
         (n_clients as u64 * ops_per_client) as usize,

@@ -20,7 +20,7 @@ use crate::bootstrap::{BootstrapClient, BootstrapError, BootstrapReport};
 use crate::error::{NetError, RetryPolicy};
 use crate::obs::NetStats;
 use crate::server::{
-    remote_batch, remote_fetch, remote_op, remote_pipelined, remote_read, Endpoint, PipelinedReply,
+    remote_batch, remote_call, remote_op, remote_pipelined, Endpoint, OpHeader, PipelinedReply,
     ReadRequest, Request, SnapshotSlot,
 };
 use std::sync::Arc;
@@ -108,16 +108,13 @@ impl NetClient1 {
         let ctx = SpanContext::root(self.inner.user(), self.seq);
         self.inner.set_current_span(Some(ctx));
         let (result, deposit) = if self.pipelined {
-            let reply = remote_pipelined(
-                &self.tx,
-                self.inner.user(),
-                self.seq,
-                op,
-                self.ops,
-                Some(ctx),
-                &self.policy,
-                &self.stats,
-            )?;
+            let head = OpHeader {
+                user: self.inner.user(),
+                seq: self.seq,
+                round: self.ops,
+                ctx: Some(ctx),
+            };
+            let reply = remote_pipelined(&self.tx, head, op, &self.policy, &self.stats)?;
             self.ops += 1;
             match reply {
                 PipelinedReply::Pipelined(presp) => {
@@ -126,16 +123,13 @@ impl NetClient1 {
                 PipelinedReply::Legacy(resp) => self.inner.handle_response(op, &resp)?,
             }
         } else {
-            let resp = remote_op(
-                &self.tx,
-                self.inner.user(),
-                self.seq,
-                op,
-                self.ops,
-                Some(ctx),
-                &self.policy,
-                &self.stats,
-            )?;
+            let head = OpHeader {
+                user: self.inner.user(),
+                seq: self.seq,
+                round: self.ops,
+                ctx: Some(ctx),
+            };
+            let resp = remote_op(&self.tx, head, op, &self.policy, &self.stats)?;
             self.ops += 1;
             self.inner.handle_response(op, &resp)?
         };
@@ -305,16 +299,13 @@ impl NetClient2 {
         self.seq += 1;
         let ctx = SpanContext::root(self.inner.user(), self.seq);
         self.inner.set_current_span(Some(ctx));
-        let resp = remote_op(
-            &self.tx,
-            self.inner.user(),
-            self.seq,
-            op,
-            self.ops,
-            Some(ctx),
-            &self.policy,
-            &self.stats,
-        )?;
+        let head = OpHeader {
+            user: self.inner.user(),
+            seq: self.seq,
+            round: self.ops,
+            ctx: Some(ctx),
+        };
+        let resp = remote_op(&self.tx, head, op, &self.policy, &self.stats)?;
         self.ops += 1;
         match self.inner.handle_response(op, &resp) {
             Ok(result) => Ok(result),
@@ -344,16 +335,13 @@ impl NetClient2 {
         self.seq += 1;
         let ctx = SpanContext::root(self.inner.user(), self.seq);
         self.inner.set_current_span(Some(ctx));
-        match remote_batch(
-            &self.tx,
-            self.inner.user(),
-            self.seq,
-            ops,
-            self.ops,
-            Some(ctx),
-            &self.policy,
-            &self.stats,
-        )? {
+        let head = OpHeader {
+            user: self.inner.user(),
+            seq: self.seq,
+            round: self.ops,
+            ctx: Some(ctx),
+        };
+        match remote_batch(&self.tx, head, ops, &self.policy, &self.stats)? {
             Some(resp) => {
                 self.ops += ops.len() as u64;
                 match self.inner.handle_batch_response(ops, &resp) {
@@ -451,16 +439,13 @@ impl NetClient3 {
         self.seq += 1;
         let ctx = SpanContext::root(self.inner.user(), self.seq);
         self.inner.set_current_span(Some(ctx));
-        let resp = remote_op(
-            &self.tx,
-            self.inner.user(),
-            self.seq,
-            op,
+        let head = OpHeader {
+            user: self.inner.user(),
+            seq: self.seq,
             round,
-            Some(ctx),
-            &self.policy,
-            &self.stats,
-        )?;
+            ctx: Some(ctx),
+        };
+        let resp = remote_op(&self.tx, head, op, &self.policy, &self.stats)?;
         self.ops += 1;
         let (result, deposits) = self.inner.handle_response(op, &resp, round)?;
         for d in deposits {
@@ -469,10 +454,11 @@ impl NetClient3 {
         if let Some(epoch) = self.inner.pending_audit() {
             let user = self.inner.user();
             self.seq += 1;
-            let states = remote_fetch(
+            let states = remote_call(
                 &self.tx,
                 user,
                 self.seq,
+                None,
                 &self.policy,
                 &self.stats,
                 |reply| Request::FetchEpochStates { user, epoch, reply },
@@ -481,10 +467,11 @@ impl NetClient3 {
                 None
             } else {
                 self.seq += 1;
-                remote_fetch(
+                remote_call(
                     &self.tx,
                     user,
                     self.seq,
+                    None,
                     &self.policy,
                     &self.stats,
                     |reply| Request::FetchCheckpoint {
@@ -575,16 +562,13 @@ impl NetClientTrusted {
                 }
             }
         }
-        let resp = remote_op(
-            &self.tx,
-            self.user,
-            self.seq,
-            op,
-            self.ops,
-            Some(SpanContext::root(self.user, self.seq)),
-            &self.policy,
-            &self.stats,
-        )?;
+        let head = OpHeader {
+            user: self.user,
+            seq: self.seq,
+            round: self.ops,
+            ctx: Some(SpanContext::root(self.user, self.seq)),
+        };
+        let resp = remote_op(&self.tx, head, op, &self.policy, &self.stats)?;
         self.ops += 1;
         Ok(resp.result)
     }
@@ -692,14 +676,19 @@ impl NetSnapshotReader {
     pub fn execute(&mut self, op: &Op) -> Result<OpResult, NetError> {
         assert!(!op.is_update(), "snapshot readers serve reads only");
         self.seq += 1;
-        let resp = remote_read(
+        let ctx = Some(SpanContext::root(self.user, self.seq));
+        let resp = remote_call(
             &self.read_tx,
             self.user,
             self.seq,
-            op,
-            Some(SpanContext::root(self.user, self.seq)),
+            ctx,
             &self.policy,
             &self.stats,
+            |reply| ReadRequest {
+                op: op.clone(),
+                ctx,
+                reply,
+            },
         )?;
         // Replay the proof from scratch (every cached digest recomputed) and
         // check the claimed answer against the replayed one.

@@ -35,10 +35,10 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use tcvs_core::{FaultCounts, FaultKind, FaultPlan, UserId};
-use tcvs_obs::{stage, Event, EventKind, SpanContext};
+use tcvs_obs::{stage, Event, EventKind};
 
 use crate::obs::NetStats;
-use crate::server::{sealed, Endpoint, Request, WireHandle};
+use crate::server::{sealed, Endpoint, OpHeader, Request, WireHandle};
 
 /// How long one simulated delay round lasts on the wire.
 const ROUND: Duration = Duration::from_millis(1);
@@ -86,8 +86,8 @@ impl FaultLink {
             let mut stash: Option<Request> = None;
             while let Ok(req) = rx.recv() {
                 let mut stashed_now = false;
-                let delivered = match op_meta(&req) {
-                    Some((user, seq, ctx)) if seen.insert((user, seq)) => {
+                let delivered = match req.op_header() {
+                    Some(OpHeader { user, seq, ctx, .. }) if seen.insert((user, seq)) => {
                         let fault = plan.fault_at(op_index);
                         if let Some(kind) = fault {
                             stats.tracer.emit(|| {
@@ -177,65 +177,23 @@ impl FaultLink {
     }
 }
 
-/// The fault-relevant identity of an operation-shaped request — plain,
-/// batched window, or pipelined. Everything else (deposits, fetches,
-/// control messages) is never faulted.
-fn op_meta(req: &Request) -> Option<(UserId, u64, Option<SpanContext>)> {
-    match req {
-        Request::Op { user, seq, ctx, .. }
-        | Request::OpBatch { user, seq, ctx, .. }
-        | Request::OpPipelined { user, seq, ctx, .. } => Some((*user, *seq, *ctx)),
-        _ => None,
-    }
-}
-
 /// A second delivery of the same operation, sharing the original's reply
 /// sender: the server's journal absorbs whichever copy arrives second.
 fn clone_op(req: &Request) -> Request {
     match req {
-        Request::Op {
-            user,
-            seq,
-            op,
-            round,
-            ctx,
-            reply,
-        } => Request::Op {
-            user: *user,
-            seq: *seq,
+        Request::Op { head, op, reply } => Request::Op {
+            head: *head,
             op: op.clone(),
-            round: *round,
-            ctx: *ctx,
             reply: reply.clone(),
         },
-        Request::OpBatch {
-            user,
-            seq,
-            ops,
-            round,
-            ctx,
-            reply,
-        } => Request::OpBatch {
-            user: *user,
-            seq: *seq,
+        Request::OpBatch { head, ops, reply } => Request::OpBatch {
+            head: *head,
             ops: ops.clone(),
-            round: *round,
-            ctx: *ctx,
             reply: reply.clone(),
         },
-        Request::OpPipelined {
-            user,
-            seq,
-            op,
-            round,
-            ctx,
-            reply,
-        } => Request::OpPipelined {
-            user: *user,
-            seq: *seq,
+        Request::OpPipelined { head, op, reply } => Request::OpPipelined {
+            head: *head,
             op: op.clone(),
-            round: *round,
-            ctx: *ctx,
             reply: reply.clone(),
         },
         _ => unreachable!("only operation-shaped requests are duplicated"),
@@ -247,60 +205,21 @@ fn clone_op(req: &Request) -> Request {
 /// retry is answered from the journal.
 fn sever_reply(req: Request) -> Request {
     match req {
-        Request::Op {
-            user,
-            seq,
+        Request::Op { head, op, .. } => Request::Op {
+            head,
             op,
-            round,
-            ctx,
-            ..
-        } => {
-            let (dead_tx, _dead_rx) = bounded(1);
-            Request::Op {
-                user,
-                seq,
-                op,
-                round,
-                ctx,
-                reply: dead_tx,
-            }
-        }
-        Request::OpBatch {
-            user,
-            seq,
+            reply: bounded(1).0,
+        },
+        Request::OpBatch { head, ops, .. } => Request::OpBatch {
+            head,
             ops,
-            round,
-            ctx,
-            ..
-        } => {
-            let (dead_tx, _dead_rx) = bounded(1);
-            Request::OpBatch {
-                user,
-                seq,
-                ops,
-                round,
-                ctx,
-                reply: dead_tx,
-            }
-        }
-        Request::OpPipelined {
-            user,
-            seq,
+            reply: bounded(1).0,
+        },
+        Request::OpPipelined { head, op, .. } => Request::OpPipelined {
+            head,
             op,
-            round,
-            ctx,
-            ..
-        } => {
-            let (dead_tx, _dead_rx) = bounded(1);
-            Request::OpPipelined {
-                user,
-                seq,
-                op,
-                round,
-                ctx,
-                reply: dead_tx,
-            }
-        }
+            reply: bounded(1).0,
+        },
         other => other,
     }
 }

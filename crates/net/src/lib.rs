@@ -1,17 +1,30 @@
 //! # tcvs-net
 //!
-//! A threaded deployment of the trusted-cvs protocols: one server thread
-//! serving crossbeam channels, client handles per user, a deterministic
-//! fault-injection link, and a throughput rig for the wall-clock
-//! experiments.
+//! A threaded deployment of the trusted-cvs protocols: one server state
+//! machine driven by one server thread over crossbeam channels, client
+//! handles per user, a deterministic fault-injection link, and a throughput
+//! rig for the wall-clock experiments.
+//!
+//! ## Machine plus driver
+//!
+//! The server's behaviour lives in one crate-private state machine that
+//! owns the inner `ServerApi`, the reply journal, the snapshot publisher,
+//! the bootstrap cache, the backlog, and one wait state. It spawns no
+//! thread, reads no channel or clock: time is an argument, replies go out
+//! over each request's one-shot sender. [`NetServer`] is a thin driver
+//! around it — backlog first, then the queue; flush before blocking; never
+//! block past the machine's deadline — and [`NetServer::spawn_with`] with
+//! one [`NetServerOptions`] (observability included, as
+//! [`NetServerOptions::stats`]) is its only constructor.
 //!
 //! Protocol I's blocking signature deposit is reproduced physically: the
-//! server thread refuses to take the next operation until the previous
+//! machine refuses to take the next operation until the previous
 //! operation's signature has arrived — experiment E6 measures what that
 //! costs under contention, which is the paper's §4.3 motivation for
 //! Protocol II ("this additional blocking step affects throughput in
-//! systems with frequent updates"). Under faults the block is bounded by a
-//! deposit timeout instead of deadlocking.
+//! systems with frequent updates"). Under faults every wait is bounded by
+//! [`NetServerOptions::deposit_timeout`], counted from when it begins,
+//! instead of deadlocking.
 //!
 //! ## Batching and pipelining
 //!
@@ -43,8 +56,8 @@
 //! between clients and server replays a seeded [`tcvs_core::FaultPlan`]
 //! against live traffic; benign faults must never raise a deviation alarm.
 //! [`NetServer::crash_restart`] crash-restarts the inner server from its
-//! persisted state, and shutdown drains backlogged requests before the
-//! thread exits.
+//! persisted state, and shutdown drains the backlog and the queue — served
+//! exactly as live, minus waits — before the thread exits.
 //!
 //! ## Concurrent read path
 //!

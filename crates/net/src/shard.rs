@@ -46,7 +46,9 @@ use crate::client::{NetClient2, NetClientTrusted};
 use crate::error::{NetError, RetryPolicy};
 use crate::fault::FaultLink;
 use crate::obs::NetStats;
-use crate::server::{remote_read, Endpoint, NetServer, NetServerOptions, ReadWireHandle};
+use crate::server::{
+    remote_call, Endpoint, NetServer, NetServerOptions, ReadRequest, ReadWireHandle,
+};
 
 /// A [`ServerApi`] wrapper that charges a fixed service latency per
 /// operation on the serialized write path.
@@ -200,8 +202,7 @@ impl GroveEpoch {
 pub struct ShardedServer {
     shards: Vec<NetServer>,
     router: ShardRouter,
-    stats: NetStats,
-    /// The options every shard was spawned with — reused when
+    /// The options (and stats) every shard was spawned with — reused when
     /// [`ShardedServer::bootstrap_restart`] spawns a replacement shard.
     opts: NetServerOptions,
     epochs: AtomicU64,
@@ -210,28 +211,17 @@ pub struct ShardedServer {
 
 impl ShardedServer {
     /// Spawns `n_shards` honest shard servers, each with its own tree,
-    /// snapshot slot, and reply journal.
+    /// snapshot slot, and reply journal. All shards feed the registry and
+    /// tracer in `opts.stats`, plus the grove-level `net.shard.*` metrics.
     pub fn spawn(
         n_shards: usize,
         config: &ProtocolConfig,
         opts: NetServerOptions,
     ) -> ShardedServer {
-        ShardedServer::spawn_observed(n_shards, config, opts, NetStats::disabled())
-    }
-
-    /// [`ShardedServer::spawn`] with observability: all shards feed the
-    /// shared registry/tracer in `stats`, plus the grove-level
-    /// `net.shard.*` metrics.
-    pub fn spawn_observed(
-        n_shards: usize,
-        config: &ProtocolConfig,
-        opts: NetServerOptions,
-        stats: NetStats,
-    ) -> ShardedServer {
         let inners: Vec<Box<dyn ServerApi + Send>> = (0..n_shards)
             .map(|_| Box::new(tcvs_core::HonestServer::new(config)) as Box<dyn ServerApi + Send>)
             .collect();
-        ShardedServer::spawn_with_servers(inners, opts, stats)
+        ShardedServer::spawn_with_servers(inners, opts)
     }
 
     /// Spawns one shard per inner server, in order. This is how a test puts
@@ -244,23 +234,19 @@ impl ShardedServer {
     pub fn spawn_with_servers(
         inners: Vec<Box<dyn ServerApi + Send>>,
         opts: NetServerOptions,
-        stats: NetStats,
     ) -> ShardedServer {
         assert!(!inners.is_empty(), "a grove needs at least one shard");
         let router = ShardRouter::new(inners.len());
         let shards: Vec<NetServer> = inners
             .into_iter()
-            .map(|inner| NetServer::spawn_observed(inner, opts, stats.clone()))
+            .map(|inner| NetServer::spawn_with(inner, opts.clone()))
             .collect();
-        stats
-            .registry()
-            .gauge("net.shard.count")
-            .set(shards.len() as i64);
-        let grove_epochs = stats.registry().counter("net.shard.grove_epochs");
+        let registry = opts.stats.registry();
+        registry.gauge("net.shard.count").set(shards.len() as i64);
+        let grove_epochs = registry.counter("net.shard.grove_epochs");
         ShardedServer {
             shards,
             router,
-            stats,
             opts,
             epochs: AtomicU64::new(0),
             grove_epochs,
@@ -289,7 +275,7 @@ impl ShardedServer {
 
     /// The stats handle the shards were spawned with.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.opts.stats
     }
 
     /// Crash-restarts one shard from its persisted state, synchronously.
@@ -328,13 +314,13 @@ impl ShardedServer {
     ) -> Result<crate::bootstrap::BootstrapReport, crate::bootstrap::BootstrapError> {
         use crate::bootstrap::{BootstrapClient, BootstrapError};
         let mut boot = BootstrapClient::new(tcvs_core::NO_USER, peer);
-        boot.set_stats(self.stats.clone());
+        boot.set_stats(self.opts.stats.clone());
         let report = boot.bootstrap(Some(expected_root))?;
         let core =
             tcvs_core::ServerCore::from_verified_state(report.tree.clone(), report.ctr, config)
                 .map_err(|e| BootstrapError::Assembly(tcvs_merkle::ChunkError::Codec(e)))?;
         let inner = Box::new(tcvs_core::HonestServer::from_core(core)) as Box<dyn ServerApi + Send>;
-        let replacement = NetServer::spawn_observed(inner, self.opts, self.stats.clone());
+        let replacement = NetServer::spawn_with(inner, self.opts.clone());
         let old = std::mem::replace(&mut self.shards[shard], replacement);
         // The old incarnation (possibly wedged or stale) drains gracefully;
         // clients holding its wire see `ServerGone` and rebind.
@@ -354,7 +340,7 @@ impl ShardedServer {
             .enumerate()
             .map(|(i, shard)| {
                 let plan = FaultPlan::seeded_for_link(seed, i as u64, n_ops, rates);
-                FaultLink::interpose_observed(shard, plan, self.stats.clone())
+                FaultLink::interpose_observed(shard, plan, self.opts.stats.clone())
             })
             .collect()
     }
@@ -894,14 +880,18 @@ impl GroveReader {
         let attempts = self.policy.max_attempts.max(1);
         for _ in 0..attempts {
             self.seq += 1;
-            let resp = remote_read(
+            let resp = remote_call(
                 &self.reads[shard].tx,
                 self.user,
                 self.seq,
-                op,
                 None,
                 &self.policy,
                 &self.stats,
+                |reply| ReadRequest {
+                    op: op.clone(),
+                    ctx: None,
+                    reply,
+                },
             )?;
             // Sample every shard's published root. The grove root is only
             // meaningful for a consistent sample, so the owning shard's
@@ -1156,8 +1146,11 @@ mod tests {
     fn shard_metrics_count_grove_activity() {
         let cfg = config();
         let stats = NetStats::disabled();
-        let grove =
-            ShardedServer::spawn_observed(2, &cfg, NetServerOptions::default(), stats.clone());
+        let opts = NetServerOptions {
+            stats: stats.clone(),
+            ..NetServerOptions::default()
+        };
+        let grove = ShardedServer::spawn(2, &cfg, opts);
         let mut c = ShardedClientTrusted::new(0, &grove);
         c.set_stats(stats.clone());
         for i in 0..10u64 {

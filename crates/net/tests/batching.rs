@@ -35,10 +35,12 @@ fn root0(config: &ProtocolConfig) -> tcvs_core::Digest {
 fn batched_windows_interleave_with_per_op_clients() {
     let cfg = config();
     let stats = NetStats::disabled();
-    let server = NetServer::spawn_observed(
+    let server = NetServer::spawn_with(
         Box::new(HonestServer::new(&cfg)),
-        NetServerOptions::default(),
-        stats.clone(),
+        NetServerOptions {
+            stats: stats.clone(),
+            ..NetServerOptions::default()
+        },
     );
     let r0 = root0(&cfg);
     let mut batched = NetClient2::new(0, &r0, cfg, &server);
@@ -101,8 +103,13 @@ fn declined_windows_fall_back_to_per_op() {
     )
     .expect("open durable server");
     let stats = NetStats::disabled();
-    let server =
-        NetServer::spawn_observed(Box::new(inner), NetServerOptions::default(), stats.clone());
+    let server = NetServer::spawn_with(
+        Box::new(inner),
+        NetServerOptions {
+            stats: stats.clone(),
+            ..NetServerOptions::default()
+        },
+    );
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);
 
@@ -128,10 +135,12 @@ fn declined_windows_fall_back_to_per_op() {
 fn non_batchable_windows_are_executed_per_op() {
     let cfg = config();
     let stats = NetStats::disabled();
-    let server = NetServer::spawn_observed(
+    let server = NetServer::spawn_with(
         Box::new(HonestServer::new(&cfg)),
-        NetServerOptions::default(),
-        stats.clone(),
+        NetServerOptions {
+            stats: stats.clone(),
+            ..NetServerOptions::default()
+        },
     );
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);
@@ -151,7 +160,10 @@ fn non_batchable_windows_are_executed_per_op() {
 #[test]
 fn batching_does_not_mask_a_lying_server() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))), false);
+    let server = NetServer::spawn_with(
+        Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);
     let window: Vec<Op> = (0..8u64)
@@ -174,15 +186,15 @@ fn snapshot_publication_staleness_is_bounded_by_the_window() {
     const WINDOW: u64 = 8;
     let cfg = config();
     let stats = NetStats::disabled();
-    let server = NetServer::spawn_observed(
+    let server = NetServer::spawn_with(
         Box::new(HonestServer::new(&cfg)),
         NetServerOptions {
             publish_every_ops: WINDOW,
             // Generous: make the write-count window the binding constraint.
             publish_interval: Duration::from_secs(10),
+            stats: stats.clone(),
             ..NetServerOptions::default()
         },
-        stats.clone(),
     );
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);

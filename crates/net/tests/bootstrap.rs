@@ -174,7 +174,10 @@ fn killed_shard_rejoins_the_grove_via_verified_chunk_sync() {
         .expect("replica bootstrap");
     let core = ServerCore::from_verified_state(replica_state.tree, replica_state.ctr, &cfg)
         .expect("verified state makes a core");
-    let replica = NetServer::spawn(Box::new(HonestServer::from_core(core)), false);
+    let replica = NetServer::spawn_with(
+        Box::new(HonestServer::from_core(core)),
+        NetServerOptions::default(),
+    );
 
     // A lying pin is refused up front and leaves the grove untouched.
     let wrong = tcvs_merkle::MerkleTree::with_order(cfg.order).root_digest();

@@ -10,7 +10,7 @@ use tcvs_core::{
     SyncShare, Verdict,
 };
 use tcvs_merkle::{u64_key, MerkleTree};
-use tcvs_net::{NetClient2, NetServer, NetServerOptions, NetStats, ShardedClient2, ShardedServer};
+use tcvs_net::{NetClient2, NetServer, NetServerOptions, ShardedClient2, ShardedServer};
 use tcvs_obs::{Event, EventKind};
 
 fn config() -> ProtocolConfig {
@@ -31,7 +31,10 @@ fn root0s(n: usize, config: &ProtocolConfig) -> Vec<tcvs_core::Digest> {
 #[test]
 fn per_op_rejection_captures_an_auditable_bundle() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))), false);
+    let server = NetServer::spawn_with(
+        Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))),
+        NetServerOptions::default(),
+    );
     let root0 = MerkleTree::with_order(cfg.order).root_digest();
     let mut c = NetClient2::new(0, &root0, cfg, &server);
     c.enable_logging();
@@ -100,11 +103,7 @@ fn grove_fork_bundle_names_the_shard_and_counter() {
             }
         })
         .collect();
-    let grove = ShardedServer::spawn_with_servers(
-        inners,
-        NetServerOptions::default(),
-        NetStats::disabled(),
-    );
+    let grove = ShardedServer::spawn_with_servers(inners, NetServerOptions::default());
     let r0 = root0s(n, &cfg);
     let mut alice = ShardedClient2::new(0, &r0, cfg, &grove);
     let mut bob = ShardedClient2::new(1, &r0, cfg, &grove);
@@ -184,11 +183,7 @@ fn sharded_diagnosis_names_only_the_forked_shards_counter() {
             }
         })
         .collect();
-    let grove = ShardedServer::spawn_with_servers(
-        inners,
-        NetServerOptions::default(),
-        NetStats::disabled(),
-    );
+    let grove = ShardedServer::spawn_with_servers(inners, NetServerOptions::default());
     let r0 = root0s(n, &cfg);
     let mut alice = ShardedClient2::new(0, &r0, cfg, &grove);
     let mut bob = ShardedClient2::new(1, &r0, cfg, &grove);

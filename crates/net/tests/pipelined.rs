@@ -52,10 +52,12 @@ fn pipelined_options(depth: usize) -> NetServerOptions {
 fn pipelined_concurrent_honest_run_has_zero_false_alarms() {
     let cfg = config();
     let stats = NetStats::disabled();
-    let server = NetServer::spawn_observed(
+    let server = NetServer::spawn_with(
         Box::new(HonestServer::new(&cfg)),
-        pipelined_options(8),
-        stats.clone(),
+        NetServerOptions {
+            stats: stats.clone(),
+            ..pipelined_options(8)
+        },
     );
     let r0 = root0(&cfg);
     let (rings, registry) = setup_users([0x33; 32], 3, 8);
@@ -101,7 +103,13 @@ fn pipelined_concurrent_honest_run_has_zero_false_alarms() {
 #[test]
 fn pipelined_client_against_blocking_server_verifies() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), true);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
+    );
     let r0 = root0(&cfg);
     let (rings, registry) = setup_users([0x44; 32], 1, 7);
     let mut c = NetClient1::new(rings.into_iter().next().unwrap(), registry, cfg, &server);
@@ -152,10 +160,12 @@ fn tampering_server_is_detected_under_pipelining() {
 fn crash_restart_mid_pipelined_run_stays_verified() {
     let cfg = config();
     let stats = NetStats::disabled();
-    let server = NetServer::spawn_observed(
+    let server = NetServer::spawn_with(
         Box::new(HonestServer::new(&cfg)),
-        pipelined_options(8),
-        stats.clone(),
+        NetServerOptions {
+            stats: stats.clone(),
+            ..pipelined_options(8)
+        },
     );
     let r0 = root0(&cfg);
     let (rings, registry) = setup_users([0x66; 32], 1, 7);
@@ -214,7 +224,10 @@ fn seeded_fault_storms_over_pipelined_protocol1_zero_false_alarms() {
 fn seeded_fault_storms_over_batched_protocol2_zero_false_alarms() {
     for seed in [0xfeed_u64, 0xdead] {
         let cfg = config();
-        let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+        let server = NetServer::spawn_with(
+            Box::new(HonestServer::new(&cfg)),
+            NetServerOptions::default(),
+        );
         let plan = FaultPlan::seeded(seed, 30, &FaultRates::heavy());
         let link = FaultLink::interpose(&server, plan);
         let r0 = root0(&cfg);

@@ -88,7 +88,10 @@ fn concurrent_readers_never_observe_a_torn_root_during_a_write_storm() {
 #[test]
 fn trusted_client_reads_its_own_writes_across_the_two_wires() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let mut c = NetClientTrusted::new(0, &server);
     for i in 0..50u64 {
         c.execute(&Op::Put(u64_key(i), vec![i as u8])).unwrap();
@@ -105,7 +108,10 @@ fn trusted_client_reads_its_own_writes_across_the_two_wires() {
 #[test]
 fn snapshot_readers_survive_a_crash_restart() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let mut writer = NetClient2::new(0, &r0, cfg, &server);
     for i in 0..20u64 {
@@ -129,14 +135,20 @@ fn snapshot_readers_survive_a_crash_restart() {
 #[test]
 fn adversaries_and_fault_links_expose_no_read_wire() {
     let cfg = config();
-    let lying = NetServer::spawn(Box::new(LieServer::new(&cfg, Trigger::AtCtr(1))), false);
+    let lying = NetServer::spawn_with(
+        Box::new(LieServer::new(&cfg, Trigger::AtCtr(1))),
+        NetServerOptions::default(),
+    );
     assert!(
         NetSnapshotReader::bind(0, &cfg, &lying).is_none(),
         "an adversary must never serve the unserialized side channel"
     );
     lying.shutdown();
 
-    let honest = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let honest = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let link = FaultLink::interpose(&honest, tcvs_core::FaultPlan::none());
     assert!(
         NetSnapshotReader::bind(0, &cfg, &link).is_none(),
@@ -159,7 +171,10 @@ fn adversaries_and_fault_links_expose_no_read_wire() {
 #[test]
 fn protocol2_sync_up_succeeds_with_concurrent_snapshot_readers() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let stop = Arc::new(AtomicBool::new(false));
     let mut noise = Vec::new();

@@ -13,8 +13,8 @@ use tcvs_core::{
 };
 use tcvs_merkle::{u64_key, MerkleTree};
 use tcvs_net::{
-    GroveReader, NetError, NetServerOptions, NetStats, RetryPolicy, ShardedClient2,
-    ShardedClientTrusted, ShardedServer,
+    GroveReader, NetError, NetServerOptions, RetryPolicy, ShardedClient2, ShardedClientTrusted,
+    ShardedServer,
 };
 
 fn config() -> ProtocolConfig {
@@ -97,11 +97,7 @@ fn single_shard_lie_is_detected_without_false_alarms_elsewhere() {
             }
         })
         .collect();
-    let grove = ShardedServer::spawn_with_servers(
-        inners,
-        NetServerOptions::default(),
-        NetStats::disabled(),
-    );
+    let grove = ShardedServer::spawn_with_servers(inners, NetServerOptions::default());
     let router = grove.router();
     let mut c = ShardedClient2::new(0, &root0s(n, &cfg), cfg, &grove);
 

@@ -40,7 +40,10 @@ fn quick_retries() -> RetryPolicy {
 #[test]
 fn protocol2_concurrent_clients_stay_consistent() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let mut handles = Vec::new();
     for u in 0..4u32 {
@@ -67,7 +70,13 @@ fn protocol2_concurrent_clients_stay_consistent() {
 #[test]
 fn protocol1_blocking_server_serializes_concurrent_clients() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), true);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
+    );
     let r0 = root0(&cfg);
     let (rings, registry) = setup_users([0x22; 32], 3, 7);
     let mut clients: Vec<NetClient1> = rings
@@ -95,7 +104,10 @@ fn protocol1_blocking_server_serializes_concurrent_clients() {
 #[test]
 fn lie_server_detected_over_the_wire() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))), false);
+    let server = NetServer::spawn_with(
+        Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);
     let mut detected = None;
@@ -114,7 +126,13 @@ fn lie_server_detected_over_the_wire() {
 #[test]
 fn tamper_detected_by_protocol1_signature_chain() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(TamperServer::new(&cfg, Trigger::AtCtr(2))), true);
+    let server = NetServer::spawn_with(
+        Box::new(TamperServer::new(&cfg, Trigger::AtCtr(2))),
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
+    );
     let r0 = root0(&cfg);
     let (rings, registry) = setup_users([0x33; 32], 1, 7);
     let mut c = NetClient1::new(rings.into_iter().next().unwrap(), registry, cfg, &server);
@@ -146,7 +164,10 @@ fn protocol3_runs_over_the_wire_with_audits() {
         k: 16,
         epoch_len: 8,
     };
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let (rings, registry) = setup_users([0x44; 32], 2, 7);
     let mut clients: Vec<NetClient3> = rings
@@ -187,7 +208,10 @@ fn throughput_rig_runs_all_protocols() {
 #[test]
 fn killed_server_yields_server_gone_not_a_panic() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);
     c.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
@@ -203,7 +227,10 @@ fn killed_server_yields_server_gone_not_a_panic() {
 #[test]
 fn honest_server_survives_crash_restart_mid_run() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &server);
     for i in 0..5u64 {
@@ -221,7 +248,13 @@ fn honest_server_survives_crash_restart_mid_run() {
 #[test]
 fn protocol1_crash_restart_preserves_the_signature_chain() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), true);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
+    );
     let r0 = root0(&cfg);
     let (rings, registry) = setup_users([0x66; 32], 1, 7);
     let mut c = NetClient1::new(rings.into_iter().next().unwrap(), registry, cfg, &server);
@@ -309,6 +342,40 @@ fn shutdown_drains_requests_backlogged_behind_a_block() {
         .expect("the graceful drain serves the backlogged op");
 }
 
+/// A deposit wait is bounded from the moment it begins: a client that never
+/// deposits stalls everyone else for at most one `deposit_timeout`, however
+/// many retries they send meanwhile. With default options and the default
+/// retry policy, B's single op must come back well before its five attempts
+/// run out (~3.1 s) — a wait whose timer restarted on every arrival kept
+/// B's retries pushing it past that.
+#[test]
+fn a_silent_depositor_stalls_others_for_at_most_one_timeout() {
+    let cfg = config();
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
+    );
+    let r0 = root0(&cfg);
+    // A Protocol II client never deposits: after A's op the server waits
+    // for a deposit that will never come.
+    let mut a = NetClient2::new(0, &r0, cfg, &server);
+    a.execute(&Op::Put(u64_key(1), vec![1])).unwrap();
+    let mut b = NetClient2::new(1, &r0, cfg, &server);
+    let start = std::time::Instant::now();
+    b.execute(&Op::Put(u64_key(2), vec![2]))
+        .expect("served once A's wait gives up");
+    let stalled = start.elapsed();
+    assert!(
+        stalled < Duration::from_millis(2600),
+        "B stalled for {stalled:?}"
+    );
+    assert!(server.missed_deposits() >= 1, "A's deposit counted missed");
+    server.shutdown();
+}
+
 #[test]
 fn deposit_timeout_unblocks_protocol1_and_counts_the_miss() {
     let cfg = config();
@@ -343,7 +410,10 @@ fn deposit_timeout_unblocks_protocol1_and_counts_the_miss() {
 #[test]
 fn explicit_fault_kinds_cause_no_false_alarms() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let mut plan = FaultPlan::none();
     plan.schedule(1, FaultKind::DropRequest)
         .schedule(2, FaultKind::DropReply)
@@ -367,7 +437,10 @@ fn explicit_fault_kinds_cause_no_false_alarms() {
 #[test]
 fn seeded_fault_storm_protocol2_zero_false_alarms() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let plan = FaultPlan::seeded(0xfeed, 60, &FaultRates::heavy());
     assert!(!plan.is_empty());
     let link = FaultLink::interpose(&server, plan);
@@ -390,7 +463,13 @@ fn seeded_fault_storm_protocol2_zero_false_alarms() {
 #[test]
 fn seeded_fault_storm_protocol1_zero_false_alarms() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), true);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
+    );
     let plan = FaultPlan::seeded(0xbead, 40, &FaultRates::light());
     let link = FaultLink::interpose(&server, plan);
     let r0 = root0(&cfg);
@@ -408,7 +487,10 @@ fn seeded_fault_storm_protocol1_zero_false_alarms() {
 #[test]
 fn faults_do_not_mask_a_lying_server() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))), false);
+    let server = NetServer::spawn_with(
+        Box::new(LieServer::new(&cfg, Trigger::AtCtr(3))),
+        NetServerOptions::default(),
+    );
     let plan = FaultPlan::seeded(0xabcd, 20, &FaultRates::light());
     let link = FaultLink::interpose(&server, plan);
     let r0 = root0(&cfg);
@@ -430,7 +512,10 @@ fn faults_do_not_mask_a_lying_server() {
 #[test]
 fn faulty_link_to_a_dead_server_reports_gone_or_timeout() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let link = FaultLink::interpose(&server, FaultPlan::none());
     let r0 = root0(&cfg);
     let mut c = NetClient2::new(0, &r0, cfg, &link);
@@ -455,10 +540,12 @@ fn wire_trace_links_client_and_server_spans_of_one_operation() {
     let cfg = config();
     let (tracer, sink) = Tracer::memory();
     let stats = NetStats::new(std::sync::Arc::new(MetricsRegistry::new()), tracer);
-    let server = NetServer::spawn_observed(
+    let server = NetServer::spawn_with(
         Box::new(HonestServer::new(&cfg)),
-        NetServerOptions::default(),
-        stats.clone(),
+        NetServerOptions {
+            stats: stats.clone(),
+            ..NetServerOptions::default()
+        },
     );
     // Route through a (quiet) fault link too: pass-through must preserve
     // the trace context it forwards.

@@ -13,7 +13,7 @@
 use tcvs_core::adversary::{LieServer, Trigger};
 use tcvs_core::{Deviation, HonestServer, Op, ProtocolConfig, ServerApi, SyncShare};
 use tcvs_merkle::{u64_key, MerkleTree};
-use tcvs_net::{GroveReader, NetError, NetServerOptions, NetStats, ShardedClient2, ShardedServer};
+use tcvs_net::{GroveReader, NetError, NetServerOptions, ShardedClient2, ShardedServer};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -87,11 +87,7 @@ fn main() {
             }
         })
         .collect();
-    let grove = ShardedServer::spawn_with_servers(
-        inners,
-        NetServerOptions::default(),
-        NetStats::disabled(),
-    );
+    let grove = ShardedServer::spawn_with_servers(inners, NetServerOptions::default());
     let router = grove.router();
     let mut carol = ShardedClient2::new(0, &root0s, config, &grove);
     for i in 0..1024u64 {

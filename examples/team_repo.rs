@@ -7,7 +7,7 @@
 use tcvs_core::{HonestServer, Op, OpResult, ProtocolConfig, SyncShare};
 use tcvs_cvs::{Cvs, CvsError, VerifiedDb};
 use tcvs_merkle::MerkleTree;
-use tcvs_net::{NetClient2, NetError, NetServer};
+use tcvs_net::{NetClient2, NetError, NetServer, NetServerOptions};
 
 /// Adapts a threaded Protocol II client into a CVS session.
 struct NetSession(NetClient2);
@@ -28,7 +28,10 @@ fn main() {
         epoch_len: 1 << 30,
     };
     let root0 = MerkleTree::with_order(config.order).root_digest();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&config)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&config)),
+        NetServerOptions::default(),
+    );
 
     println!("== team repository over the threaded deployment ==\n");
 

@@ -7,7 +7,9 @@ use tcvs_core::{
     Deviation, FaultPlan, FaultRates, HonestServer, Op, ProtocolConfig, ProtocolKind, SyncShare,
 };
 use tcvs_merkle::{u64_key, MerkleTree};
-use tcvs_net::{run_throughput, FaultLink, NetClient1, NetClient2, NetError, NetServer};
+use tcvs_net::{
+    run_throughput, FaultLink, NetClient1, NetClient2, NetError, NetServer, NetServerOptions,
+};
 
 fn config() -> ProtocolConfig {
     ProtocolConfig {
@@ -24,7 +26,10 @@ fn root0(config: &ProtocolConfig) -> tcvs_core::Digest {
 #[test]
 fn heavy_concurrency_protocol2_consistent() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let r0 = root0(&cfg);
     let barrier = Arc::new(std::sync::Barrier::new(8));
     let mut handles = Vec::new();
@@ -56,9 +61,9 @@ fn heavy_concurrency_protocol2_consistent() {
 fn fork_across_threads_detected_at_sync() {
     let cfg = config();
     // Users 0,1 on branch A; 2,3 on branch B after op 20.
-    let server = NetServer::spawn(
+    let server = NetServer::spawn_with(
         Box::new(ForkServer::new(&cfg, Trigger::AtCtr(20), &[0, 1])),
-        false,
+        NetServerOptions::default(),
     );
     let r0 = root0(&cfg);
     let mut handles = Vec::new();
@@ -84,9 +89,12 @@ fn fork_across_threads_detected_at_sync() {
 #[test]
 fn counter_skip_detected_by_protocol1_over_wire() {
     let cfg = config();
-    let server = NetServer::spawn(
+    let server = NetServer::spawn_with(
         Box::new(CounterSkipServer::new(&cfg, Trigger::AtCtr(3))),
-        true,
+        NetServerOptions {
+            blocking_signatures: true,
+            ..NetServerOptions::default()
+        },
     );
     let r0 = root0(&cfg);
     let (rings, registry) = tcvs_crypto::setup_users([0x55; 32], 1, 7);
@@ -116,7 +124,10 @@ fn counter_skip_detected_by_protocol1_over_wire() {
 #[test]
 fn concurrent_clients_through_a_faulty_link_raise_no_false_alarms() {
     let cfg = config();
-    let server = NetServer::spawn(Box::new(HonestServer::new(&cfg)), false);
+    let server = NetServer::spawn_with(
+        Box::new(HonestServer::new(&cfg)),
+        NetServerOptions::default(),
+    );
     let plan = FaultPlan::seeded(0x5eed, 160, &FaultRates::light());
     let link = Arc::new(FaultLink::interpose(&server, plan));
     let r0 = root0(&cfg);
